@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .. import constants as c
-from .advection import contravariant_mass_flux_w
+from .advection import metric_flux_terms
 from .grid import Grid
 from ..profiling import profile_phase
 from .helmholtz import HelmholtzOperator
@@ -109,23 +109,18 @@ def build_context(state: State, ref: ReferenceState, p_ref: np.ndarray) -> Acous
     )
 
 
-def _dpp_dz_centers(pp: np.ndarray, grid: Grid) -> np.ndarray:
+def _dpp_dz_centers(pp: np.ndarray, jac3: np.ndarray, grid: Grid) -> np.ndarray:
     """(1/G) d(pp)/dx3 at cell centers (= physical d pp/dz), centered in the
-    interior, one-sided at the bottom/top cells."""
+    interior, one-sided at the bottom/top cells; ``jac3`` is ``G`` over the
+    columns of ``pp``."""
     nz = grid.nz
     out = np.empty_like(pp)
     span = (grid.z_c[2:] - grid.z_c[:-2])[None, None, :]
     out[:, :, 1:-1] = (pp[:, :, 2:] - pp[:, :, :-2]) / span
     out[:, :, 0] = (pp[:, :, 1] - pp[:, :, 0]) / (grid.z_c[1] - grid.z_c[0])
     out[:, :, nz - 1] = (pp[:, :, -1] - pp[:, :, -2]) / (grid.z_c[-1] - grid.z_c[-2])
-    out /= grid.jac[:, :, None]
+    out /= jac3
     return out
-
-
-def _metric_flux(rhou: np.ndarray, rhov: np.ndarray, grid: Grid) -> np.ndarray:
-    """Metric part of the contravariant vertical mass flux (zero rhow)."""
-    zero_w = np.zeros(grid.shape_w, dtype=rhou.dtype)
-    return contravariant_mass_flux_w(rhou, rhov, zero_w, grid)
 
 
 def _dz_center_from_faces(flux_w: np.ndarray, grid: Grid) -> np.ndarray:
@@ -148,6 +143,13 @@ class AcousticStepper:
     single-domain :func:`acoustic_integrate` and the distributed driver
     both run on this class, which is what makes the decomposed run
     bit-identical to the single-domain run.
+
+    A substep works on interior windows only: interior cells, interior
+    u/v faces, and the perturbation pressure one cell beyond them.  Every
+    element it writes sees the operands and operation order of the
+    full-extent formulas, so the result does not depend on the halos
+    beyond what the stencils read.  Everything fixed over the stage is
+    formed once, here.
     """
 
     def __init__(
@@ -175,11 +177,53 @@ class AcousticStepper:
         self.dtau = dts / nsub
         self.st = base.copy()
         self.st.time = base.time + dts
-        self.helm = HelmholtzOperator(g, ctx.theta_wf, ctx.cp_lin, self.dtau, beta)
-        self.jac3 = g.jac[:, :, None]
+        h = g.halo
+        sx, sy = g.isl
+        #: interior u faces, interior v faces, and the window of the
+        #: perturbation pressure (one cell beyond the interior in x and y)
+        self.xf = slice(h, h + g.nx + 1)
+        self.yf = slice(h, h + g.ny + 1)
+        self.pw = (slice(h - 1, h + g.nx + 1), slice(h - 1, h + g.ny + 1))
+        self.helm = HelmholtzOperator(g, ctx.theta_wf, ctx.cp_lin, self.dtau,
+                                      beta, cols=(sx, sy))
+        self.jac3 = g.jac[sx, sy, None]
         self.pp_prev: np.ndarray | None = None
         self.has_terrain = not g.is_flat()
         self._done = 0
+
+        # stage invariants, on the windows the substep reads
+        self.pc_w = ctx.pc[self.pw]
+        self.cp_w = ctx.cp_lin[self.pw]
+        self.neg_jac_u = -g.jac_u[self.xf, sy, None]
+        self.neg_jac_v = -g.jac_v[sx, self.yf, None]
+        self.theta_wi = ctx.theta_wf[sx, sy]
+        # explicit stage-flux vertical theta transport is inside r_theta;
+        # add back the w_s part that the implicit operator will replace
+        self.dws = _dz_center_from_faces(
+            self.theta_wi * forcing.w_s[sx, sy], g) / self.jac3
+        if self.has_terrain:
+            self.jac3_w = g.jac[self.pw][:, :, None]
+            self.terrain_u = (g.jac_u[self.xf, sy, None]
+                              * g.dzsdx_u[self.xf, sy, None]
+                              * g.decay_c[None, None, :])
+            self.terrain_v = (g.jac_v[sx, self.yf, None]
+                              * g.dzsdy_v[sx, self.yf, None]
+                              * g.decay_c[None, None, :])
+            self.m_si = forcing.m_s[sx, sy]
+
+    def _metric_flux(self, ru: np.ndarray, rv: np.ndarray) -> np.ndarray:
+        """Metric part of the contravariant vertical mass flux (zero rhow)
+        on the interior columns, from the interior-face windows ``ru``/``rv``
+        of rhou/rhov."""
+        g = self.g
+        sx, sy = g.isl
+        out = np.zeros((g.nx, g.ny, g.nz + 1), dtype=ru.dtype)
+        # 0.0 - x, not -x: contravariant_mass_flux_w subtracts from the +0.0
+        # of a zero rhow, and that fixes the sign of a zero result
+        out[:, :, 1:-1] = 0.0 - metric_flux_terms(
+            ru, rv, g.jac_u[self.xf, sy], g.dzsdx_u[self.xf, sy],
+            g.jac_v[sx, self.yf], g.dzsdy_v[sx, self.yf], g.decay_f)
+        return out
 
     def substep(self) -> list[str]:
         """One acoustic substep; returns the field names whose halos are
@@ -194,8 +238,8 @@ class AcousticStepper:
         forcing = self.forcing
         st = self.st
         g = self.g
-        h = g.halo
         sx, sy = g.isl
+        xf, yf = self.xf, self.yf
         dtau = self.dtau
         beta = self.beta
         jac3 = self.jac3
@@ -205,7 +249,7 @@ class AcousticStepper:
         div_damp = self.div_damp
 
         # (1) perturbation pressure ------------------------------------
-        pp = ctx.pc + ctx.cp_lin * st.rhotheta
+        pp = self.pc_w + self.cp_w * st.rhotheta[self.pw]
         if pp_prev is not None and div_damp > 0.0:
             pp_h = pp + div_damp * (pp - pp_prev)
         else:
@@ -213,70 +257,46 @@ class AcousticStepper:
         self.pp_prev = pp
 
         # (2) horizontal momentum (explicit) ---------------------------
-        ux0, ux1 = h, h + g.nx + 1          # interior u faces
-        grad_x = (pp_h[ux0:ux1, sy] - pp_h[ux0 - 1 : ux1 - 1, sy]) / g.dx
-        pgf_u = -g.jac_u[ux0:ux1, sy, None] * grad_x
+        grad_x = (pp_h[1:, 1:-1] - pp_h[:-1, 1:-1]) / g.dx
+        pgf_u = self.neg_jac_u * grad_x
         if has_terrain:
-            dppdz = _dpp_dz_centers(pp_h, g)
-            dppdz_u = 0.5 * (dppdz[ux0:ux1, sy] + dppdz[ux0 - 1 : ux1 - 1, sy])
-            pgf_u += (
-                g.jac_u[ux0:ux1, sy, None]
-                * g.dzsdx_u[ux0:ux1, sy, None]
-                * g.decay_c[None, None, :]
-                * dppdz_u
-            )
-        st.rhou[ux0:ux1, sy] += dtau * (pgf_u + forcing.r_u[ux0:ux1, sy])
+            dppdz = _dpp_dz_centers(pp_h, self.jac3_w, g)
+            dppdz_u = 0.5 * (dppdz[1:, 1:-1] + dppdz[:-1, 1:-1])
+            pgf_u += self.terrain_u * dppdz_u
+        st.rhou[xf, sy] += dtau * (pgf_u + forcing.r_u[xf, sy])
 
-        vy0, vy1 = h, h + g.ny + 1          # interior v faces
-        grad_y = (pp_h[sx, vy0:vy1] - pp_h[sx, vy0 - 1 : vy1 - 1]) / g.dy
-        pgf_v = -g.jac_v[sx, vy0:vy1, None] * grad_y
+        grad_y = (pp_h[1:-1, 1:] - pp_h[1:-1, :-1]) / g.dy
+        pgf_v = self.neg_jac_v * grad_y
         if has_terrain:
-            dppdz_v = 0.5 * (dppdz[sx, vy0:vy1] + dppdz[sx, vy0 - 1 : vy1 - 1])
-            pgf_v += (
-                g.jac_v[sx, vy0:vy1, None]
-                * g.dzsdy_v[sx, vy0:vy1, None]
-                * g.decay_c[None, None, :]
-                * dppdz_v
-            )
-        st.rhov[sx, vy0:vy1] += dtau * (pgf_v + forcing.r_v[sx, vy0:vy1])
+            dppdz_v = 0.5 * (dppdz[1:-1, 1:] + dppdz[1:-1, :-1])
+            pgf_v += self.terrain_v * dppdz_v
+        st.rhov[sx, yf] += dtau * (pgf_v + forcing.r_v[sx, yf])
 
         # (3) explicit parts of continuity / thermodynamics ------------
         # horizontal divergence of the updated mass fluxes
-        dfx = (st.rhou[h + 1 : h + g.nx + 1, sy] - st.rhou[h : h + g.nx, sy]) / g.dx
-        dfy = (st.rhov[sx, h + 1 : h + g.ny + 1] - st.rhov[sx, h : h + g.ny]) / g.dy
+        ru = st.rhou[xf, sy]
+        rv = st.rhov[sx, yf]
+        dfx = (ru[1:] - ru[:-1]) / g.dx
+        dfy = (rv[:, 1:] - rv[:, :-1]) / g.dy
 
         if has_terrain:
-            m_now = _metric_flux(st.rhou, st.rhov, g)
-            dm = _dz_center_from_faces(m_now, g)[sx, sy]
+            m_now = self._metric_flux(ru, rv)
+            dm = _dz_center_from_faces(m_now, g)
         else:
-            m_now = None
             dm = 0.0
         rho_e = st.rho[sx, sy] - dtau * (dfx + dfy + dm)
 
         # theta: perturbation fluxes relative to the stage fluxes
-        du_p = st.rhou - forcing.fx_s
-        dv_p = st.rhov - forcing.fy_s
-        thx = ctx.theta_xf
-        thy = ctx.theta_yf
-        dfx_t = (
-            thx[h + 1 : h + g.nx + 1, sy] * du_p[h + 1 : h + g.nx + 1, sy]
-            - thx[h : h + g.nx, sy] * du_p[h : h + g.nx, sy]
-        ) / g.dx
-        dfy_t = (
-            thy[sx, h + 1 : h + g.ny + 1] * dv_p[sx, h + 1 : h + g.ny + 1]
-            - thy[sx, h : h + g.ny] * dv_p[sx, h : h + g.ny]
-        ) / g.dy
+        tx = ctx.theta_xf[xf, sy] * (ru - forcing.fx_s[xf, sy])
+        ty = ctx.theta_yf[sx, yf] * (rv - forcing.fy_s[sx, yf])
+        dfx_t = (tx[1:] - tx[:-1]) / g.dx
+        dfy_t = (ty[:, 1:] - ty[:, :-1]) / g.dy
         if has_terrain:
-            dm_p = _dz_center_from_faces(
-                ctx.theta_wf * (m_now - forcing.m_s), g
-            )[sx, sy]
+            dm_p = _dz_center_from_faces(self.theta_wi * (m_now - self.m_si), g)
         else:
             dm_p = 0.0
-        # explicit stage-flux vertical theta transport is inside r_theta;
-        # add back the w_s part that the implicit operator will replace
-        dws = _dz_center_from_faces(ctx.theta_wf * forcing.w_s, g)[sx, sy] / jac3[sx, sy]
         theta_e = st.rhotheta[sx, sy] + dtau * (
-            forcing.r_theta[sx, sy] - dfx_t - dfy_t - dm_p + dws
+            forcing.r_theta[sx, sy] - dfx_t - dfy_t - dm_p + self.dws
         )
 
         # (4) vertical implicit solve ----------------------------------
@@ -285,45 +305,45 @@ class AcousticStepper:
 
         pp_be = ctx.pc[sx, sy] + ctx.cp_lin[sx, sy] * theta_be
         dz_pp = (pp_be[:, :, 1:] - pp_be[:, :, :-1]) / g.dz_f[None, None, 1:-1]
-        buoy = 0.5 * (
-            (rho_be - ctx.rho_ref_hat[sx, sy])[:, :, 1:]
-            + (rho_be - ctx.rho_ref_hat[sx, sy])[:, :, :-1]
-        )
-        rhs_e = (
-            st.rhow[sx, sy, 1:-1]
+        drho = rho_be - ctx.rho_ref_hat[sx, sy]
+        buoy = 0.5 * (drho[:, :, 1:] + drho[:, :, :-1])
+        w_now = st.rhow[sx, sy]
+        rhs = (
+            w_now[:, :, 1:-1]
             + dtau * (-dz_pp - c.G * buoy + forcing.r_w[sx, sy, 1:-1])
         )
         # trapezoidal correction from the known W^n
-        rhs = np.zeros((g.nxh, g.nyh, g.nz - 1), dtype=st.rho.dtype)
-        rhs[sx, sy] = rhs_e
         if beta < 1.0:
-            aw = helm.apply(st.rhow)
-            rhs[sx, sy] += ((1.0 - beta) / beta) * (
-                st.rhow[sx, sy, 1:-1] - aw[sx, sy]
-            )
+            rhs += ((1.0 - beta) / beta) * (w_now[:, :, 1:-1] - helm.apply(w_now))
         with profile_phase("helmholtz_solve"):
             w_new = helm.solve(rhs)
-        w_beta = beta * w_new + (1.0 - beta) * st.rhow
+        w_beta = beta * w_new + (1.0 - beta) * w_now
 
         # implied vertical-flux updates
-        st.rho[sx, sy] = rho_e - dtau * _dz_center_from_faces(w_beta, g)[sx, sy] / jac3[sx, sy]
+        st.rho[sx, sy] = rho_e - dtau * _dz_center_from_faces(w_beta, g) / jac3
         st.rhotheta[sx, sy] = theta_e - dtau * _dz_center_from_faces(
-            ctx.theta_wf * w_beta, g
-        )[sx, sy] / jac3[sx, sy]
-        st.rhow[sx, sy] = w_new[sx, sy]
+            self.theta_wi * w_beta, g
+        ) / jac3
+        st.rhow[sx, sy] = w_new
 
         self._done += 1
         return list(ACOUSTIC_FIELDS)
 
-    def finish(self, q_tendencies: dict[str, np.ndarray] | None = None) -> list[str]:
+    def finish(self, q_tendencies: dict[str, np.ndarray | None] | None = None
+               ) -> list[str]:
         """Apply the slow moisture tendencies over the full stage interval
-        (moisture is a slow mode); returns the fields needing exchange."""
+        (moisture is a slow mode); returns the fields needing exchange,
+        every species named in ``q_tendencies``.  A ``None`` tendency marks
+        an inactive species, whose stage copy of its all-+0.0 start value
+        already is its stage value."""
         if self._done != self.nsub:
             raise RuntimeError(f"finish() after {self._done}/{self.nsub} substeps")
         if not q_tendencies:
             return []
         sx, sy = self.g.isl
         for name, tend in q_tendencies.items():
+            if tend is None:
+                continue
             arr = self.st.q[name]
             arr[sx, sy] = self.base.q[name][sx, sy] + self.dts * tend[sx, sy]
         return list(q_tendencies.keys())
@@ -340,7 +360,7 @@ def acoustic_integrate(
     beta: float = 0.55,
     div_damp: float = 0.1,
     exchange: Callable[[State, list[str]], None],
-    q_tendencies: dict[str, np.ndarray] | None = None,
+    q_tendencies: dict[str, np.ndarray | None] | None = None,
 ) -> State:
     """Single-domain driver over :class:`AcousticStepper`: integrate the
     fast modes from ``base`` over ``dts``, refreshing halos after each

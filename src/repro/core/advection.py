@@ -33,6 +33,7 @@ __all__ = [
     "flux_divergence_y",
     "flux_divergence_z",
     "contravariant_mass_flux_w",
+    "metric_flux_terms",
     "mass_divergence",
     "advect_scalar",
     "advect_u",
@@ -139,17 +140,28 @@ def contravariant_mass_flux_w(
     # rho w = rhow / G
     out[:, :, 1:-1] = rhow[:, :, 1:-1] / grid.jac[:, :, None]
     if not grid.is_flat():
-        # rho u dz/dx at (cell center, center level): average the u faces
-        ax = (rhou / grid.jac_u[:, :, None]) * grid.dzsdx_u[:, :, None]
-        ax_c = 0.5 * (ax[1:] + ax[:-1])
-        ay = (rhov / grid.jac_v[:, :, None]) * grid.dzsdy_v[:, :, None]
-        ay_c = 0.5 * (ay[:, 1:] + ay[:, :-1])
-        horiz = ax_c + ay_c
-        # to w faces (interior): vertical average, metric decays linearly
-        out[:, :, 1:-1] -= (
-            0.5 * (horiz[:, :, 1:] + horiz[:, :, :-1]) * grid.decay_f[None, None, 1:-1]
-        )
+        out[:, :, 1:-1] -= metric_flux_terms(
+            rhou, rhov, grid.jac_u, grid.dzsdx_u, grid.jac_v, grid.dzsdy_v,
+            grid.decay_f)
     return out
+
+
+def metric_flux_terms(
+    rhou: np.ndarray, rhov: np.ndarray, jac_u: np.ndarray,
+    dzsdx_u: np.ndarray, jac_v: np.ndarray, dzsdy_v: np.ndarray,
+    decay_f: np.ndarray,
+) -> np.ndarray:
+    """``rho u dz/dx + rho v dz/dy`` at the interior w faces of the
+    columns spanned by ``rhou``/``rhov``; the metric arrays are the
+    grid's, cut to the same columns.  Shape (ncx, ncy, nz-1)."""
+    # rho u dz/dx at (cell center, center level): average the u faces
+    ax = (rhou / jac_u[:, :, None]) * dzsdx_u[:, :, None]
+    ax_c = 0.5 * (ax[1:] + ax[:-1])
+    ay = (rhov / jac_v[:, :, None]) * dzsdy_v[:, :, None]
+    ay_c = 0.5 * (ay[:, 1:] + ay[:, :-1])
+    horiz = ax_c + ay_c
+    # to w faces (interior): vertical average, metric decays linearly
+    return 0.5 * (horiz[:, :, 1:] + horiz[:, :, :-1]) * decay_f[None, None, 1:-1]
 
 
 def mass_divergence(

@@ -39,7 +39,8 @@ class HelmholtzOperator:
 
     ``theta_f``: (nxh, nyh, nz+1) base theta at w faces;
     ``cp_lin``:  (nxh, nyh, nz) EOS linearization coefficient;
-    built for a fixed acoustic substep ``dtau`` and off-centering ``beta``.
+    built for a fixed acoustic substep ``dtau`` and off-centering ``beta``
+    on the ``cols`` (x, y) window of columns (default: every column).
     """
 
     grid: Grid
@@ -47,16 +48,17 @@ class HelmholtzOperator:
     cp_lin: np.ndarray
     dtau: float
     beta: float
+    cols: tuple[slice, slice] = (slice(None), slice(None))
 
     def __post_init__(self) -> None:
         g = self.grid
         nz = g.nz
         dz_c = g.dz_c
         dz_f = g.dz_f
-        s = (self.dtau * self.beta) ** 2 / g.jac[:, :, None]  # (nxh, nyh, 1)
+        s = (self.dtau * self.beta) ** 2 / g.jac[self.cols][:, :, None]
 
-        thf = self.theta_f
-        cp = self.cp_lin
+        thf = self.theta_f[self.cols]
+        cp = self.cp_lin[self.cols]
         # interior w faces k = 1..nz-1 -> array index m = k-1
         k = np.arange(1, nz)
         inv_dzf = 1.0 / dz_f[k]
@@ -88,17 +90,19 @@ class HelmholtzOperator:
 
     # ------------------------------------------------------------------ ops
     def apply(self, w_full: np.ndarray) -> np.ndarray:
-        """Apply A to a full (nxh, nyh, nz+1) w-momentum array; returns the
-        result at interior faces, shape (nxh, nyh, nz-1).  Boundary faces
-        of the input participate as known values."""
+        """Apply A to a w-momentum array over the operator's columns,
+        shape (ncx, ncy, nz+1); returns the result at interior faces,
+        shape (ncx, ncy, nz-1).  Boundary faces of the input participate
+        as known values."""
         w_km = w_full[:, :, :-2]
         w_k = w_full[:, :, 1:-1]
         w_kp = w_full[:, :, 2:]
         return self.sub * w_km + self.diag * w_k + self.sup * w_kp
 
     def solve(self, rhs_interior: np.ndarray) -> np.ndarray:
-        """Solve ``A(W) = rhs`` with zero boundary faces; returns the full
-        (nxh, nyh, nz+1) array with zeros at faces 0 and nz."""
+        """Solve ``A(W) = rhs`` with zero boundary faces; returns the
+        (ncx, ncy, nz+1) array over the operator's columns with zeros at
+        faces 0 and nz."""
         return helmholtz_solve(self, rhs_interior)
 
     def residual(self, w_full: np.ndarray, rhs_interior: np.ndarray) -> float:

@@ -9,7 +9,7 @@ from the long-step start (:mod:`repro.core.acoustic`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Collection
 
 import numpy as np
 
@@ -39,6 +39,12 @@ from .reference import ReferenceState
 from .state import State
 
 __all__ = ["DynamicsConfig", "Rk3Integrator", "slow_tendencies"]
+
+
+def _all_plus_zero(arr: np.ndarray) -> bool:
+    """Every element, halos included, is +0.0 (bitwise: -0.0 and NaN are
+    not)."""
+    return not arr.view(np.dtype(f"u{arr.itemsize}")).any()
 
 
 @dataclass
@@ -75,9 +81,13 @@ def slow_tendencies(
     cfg: DynamicsConfig,
     limiter: Limiter,
     rayleigh_w: np.ndarray | None = None,
-) -> tuple[SlowForcing, dict[str, np.ndarray]]:
+    inactive: Collection[str] = (),
+) -> tuple[SlowForcing, dict[str, np.ndarray | None]]:
     """Slow-mode forcings at the given (stage) state, plus moisture
-    advection tendencies.  Requires valid halos of width >= 2."""
+    advection tendencies.  Requires valid halos of width >= 2.
+
+    Species named in ``inactive`` are not advected: their tendency is
+    ``None`` (see :meth:`Rk3Integrator.step_phases`)."""
     g = state.grid
     u, v, w = state.velocities()
     fx = state.rhou
@@ -123,7 +133,8 @@ def slow_tendencies(
 
     with profile_phase("advect_moisture"):
         q_tend = {
-            name: adv.advect_scalar(q_hat / state.rho, fx, fy, fz, g, limiter)
+            name: None if name in inactive
+            else adv.advect_scalar(q_hat / state.rho, fx, fy, fz, g, limiter)
             for name, q_hat in state.q.items()
         }
 
@@ -184,14 +195,28 @@ class Rk3Integrator:
         Every rank of a decomposed run yields the identical sequence of
         exchange points, which is what lets :mod:`repro.dist.multigpu`
         drive all ranks in lockstep.
+
+        A water species whose array is +0.0 everywhere, halos included,
+        is inactive: it is neither advected nor updated.  That is exact.
+        The tendency of an all-+0.0 field is +-0.0, and
+        ``+0.0 + dts * (+-0.0)`` is +0.0, so every stage state keeps the
+        +0.0 the stage copy already holds.  The set is taken at the
+        long-step start and narrowed at each later stage to the species
+        still +0.0 in the stage state: on a rank of a decomposed run, a
+        neighbour's tracer can reach the halo mid-step.  The exchange
+        points still name every species, so ranks that disagree on the
+        set still yield the same sequence.
         """
         yield state, None  # make sure every halo is valid
         ctx = build_context(state, self.ref, self.p_ref)
+        inactive = list(state.q)
         cur = state
         new = state
         for dts, nsub in self.stage_plan():
+            inactive = [n for n in inactive if _all_plus_zero(cur.q[n])]
             forcing, q_tend = slow_tendencies(
-                cur, self.ref, self.cfg, self.limiter, self.rayleigh_w
+                cur, self.ref, self.cfg, self.limiter, self.rayleigh_w,
+                inactive=inactive,
             )
             stepper = AcousticStepper(
                 state, forcing, ctx, self.ref, dts, nsub,

@@ -318,10 +318,11 @@ class MultiGpuAsuca:
                         results[i] = stop.value
                         live.remove(i)
                 if pending:
-                    if len(pending) != len(gens):
+                    fields = pending[0][1]
+                    if (len(pending) != len(gens)
+                            or any(f != fields for _, f in pending[1:])):
                         raise RuntimeError(
                             "ranks desynchronized at an exchange point")
-                    fields = pending[0][1]
                     self.exchange_all([st for st, _ in pending], fields)
         new_states = [r for r in results if r is not None]
 

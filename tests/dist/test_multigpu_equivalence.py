@@ -159,3 +159,20 @@ def test_comm_traffic_recorded():
         dx = min(abs(ssrc.cx - sdst.cx), machine.px - abs(ssrc.cx - sdst.cx))
         dy = min(abs(ssrc.cy - sdst.cy), machine.py - abs(ssrc.cy - sdst.cy))
         assert dx + dy <= 1, "non-neighbor communication"
+
+
+def test_step_raises_when_ranks_yield_different_fields(monkeypatch):
+    """Lockstep trusts no single rank's field list: a rank that yields a
+    different list at an exchange point desynchronizes the step."""
+    g, ref, cfg = _setup()
+    machine = MultiGpuAsuca(g, ref, 2, 1, cfg)
+    rank_states = machine.scatter_state(
+        _perturbed_initial(AsucaModel(g, ref, cfg)))
+    machine.exchange_all(rank_states, None)
+    integ = machine.ranks[1].integrator
+    real = integ.step_phases
+    monkeypatch.setattr(integ, "step_phases", lambda state: (
+        (st, None if fields is None else fields[:1])
+        for st, fields in real(state)))
+    with pytest.raises(RuntimeError, match="desynchronized"):
+        machine.step(rank_states)
