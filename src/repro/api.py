@@ -34,6 +34,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
@@ -48,7 +49,8 @@ from .resilience.checkpoint import CheckpointManager
 from .resilience.faults import FaultInjector, FaultPlan, RankCrash
 from .resilience.retry import RetryPolicy
 
-__all__ = ["RunSpec", "Experiment", "RunResult", "make_case", "parse_ranks"]
+__all__ = ["RunSpec", "Experiment", "RunResult", "OutputPathError",
+           "make_case", "parse_ranks"]
 
 _BACKENDS = ("auto", "cpu", "gpu", "multigpu")
 
@@ -122,6 +124,11 @@ def parse_ranks(spec: "str | tuple[int, int] | None") -> tuple[int, int] | None:
     return px, py
 
 
+class OutputPathError(ValueError):
+    """An output file (trace, trace JSONL, history) whose directory does
+    not exist: rejected when the spec is validated, before any step."""
+
+
 @dataclass
 class RunSpec:
     """Everything needed to construct and drive one run."""
@@ -148,7 +155,7 @@ class RunSpec:
     ranks: "tuple[int, int] | str | None" = None
     precision: Any = None           #: gpu/multigpu modeled precision
     ice: bool = False
-    #: stencil executor backend ('reference' / 'fused' / 'numba', or
+    #: stencil executor backend ('reference' / 'fused', or
     #: 'auto' = the process default, i.e. $REPRO_STENCIL_BACKEND or
     #: 'reference') — the fused path is bit-identical to the reference,
     #: so this never enters the spec hash (see _NON_SEMANTIC_FIELDS)
@@ -197,7 +204,7 @@ class RunSpec:
             raise ValueError("steps must be >= 0")
         if self.counter_every < 1:
             raise ValueError("counter_every must be >= 1")
-        from .stencil import BACKENDS, default_backend, numba_available
+        from .stencil import BACKENDS, default_backend
 
         stencil_backend = self.stencil_backend
         if stencil_backend == "auto":
@@ -206,16 +213,18 @@ class RunSpec:
             raise ValueError(
                 f"unknown stencil backend {self.stencil_backend!r}; "
                 f"choose one of auto, {', '.join(BACKENDS)}")
-        if stencil_backend == "numba" and not numba_available():
-            raise ValueError(
-                "stencil backend 'numba' needs numba installed; "
-                "use 'fused' or 'reference'")
         if self.counters and backend == "cpu":
             raise ValueError(
                 "counters need a device-backed backend ('gpu'/'multigpu')")
         if (self.resume or self.checkpoint_every > 0) and not self.checkpoint_dir:
             raise ValueError(
                 "checkpointing/resume needs checkpoint_dir")
+        for name in ("trace_path", "trace_jsonl", "history_path"):
+            path = getattr(self, name)
+            parent = os.path.dirname(path) if path else ""
+            if parent and not os.path.isdir(parent):
+                raise OutputPathError(
+                    f"{name} {path!r}: directory {parent!r} does not exist")
         return replace(self, backend=backend, ranks=ranks,
                        stencil_backend=stencil_backend,
                        faults=FaultPlan.parse(self.faults))
@@ -360,7 +369,6 @@ class Experiment:
         self.runner = None                  #: GpuAsucaRunner (gpu)
         self.session: TraceSession | None = None
         self.executor = None                #: StencilExecutor
-        self.timer = None
         self.injector: FaultInjector | None = None
         self.checkpoints: CheckpointManager | None = None
         self.history = None
@@ -397,12 +405,9 @@ class Experiment:
 
         if spec.faults and len(spec.faults):
             self.injector = FaultInjector(spec.faults)
-        if spec.wants_session():
+        if spec.wants_session() or spec.profile:
+            # --profile reads the phase spans of this same session
             self.session = TraceSession(name=spec.workload)
-        if spec.profile:
-            from .profiling import PhaseTimer
-
-            self.timer = PhaseTimer()
         if spec.checkpoint_dir:
             self.checkpoints = CheckpointManager(
                 spec.checkpoint_dir, every=spec.checkpoint_every,
@@ -416,7 +421,7 @@ class Experiment:
                 self.grid, self.case.ref, px, py, self.model.config,
                 relaxation=getattr(self.model, "relaxation", None),
                 fault_injector=self.injector, retry=spec.retry)
-            if self.session is not None or spec.counters:
+            if spec.wants_session() or spec.counters:
                 self.machine.attach_devices(
                     precision=spec.precision,
                     counters=spec.counters,
@@ -464,7 +469,7 @@ class Experiment:
 
     @contextlib.contextmanager
     def _contexts(self):
-        """Activate the stencil executor/session/profiler around any
+        """Activate the stencil executor and the session around any
         stepping."""
         from .stencil import use_executor
 
@@ -473,10 +478,6 @@ class Experiment:
                 stack.enter_context(use_executor(self.executor))
             if self.session is not None:
                 stack.enter_context(use_session(self.session))
-            if self.timer is not None:
-                from .profiling import use_timer
-
-                stack.enter_context(use_timer(self.timer))
             yield
 
     # ------------------------------------------------------------ drive

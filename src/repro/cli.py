@@ -5,7 +5,7 @@ Commands
 ``run``      integrate a workload (mountain-wave / warm-bubble / real-case /
              shear-layer), optionally decomposed and/or with a history file;
              ``--trace`` writes a Chrome/Perfetto trace, ``--metrics`` prints
-             the run metrics, ``--profile`` prints the phase breakdown;
+             the run metrics, ``--profile`` prints the host-span table;
              ``--faults`` / ``--checkpoint-every`` / ``--resume`` exercise
              the resilience layer (docs/RESILIENCE.md)
 ``trace``    replay a workload under tracing and write the trace artifacts
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--ranks", type=str, default=None, metavar="PXxPY",
                      help="decompose, e.g. 2x3 (verifies against single-domain)")
     run.add_argument("--stencil-backend", default="auto",
-                     choices=["auto", "reference", "fused", "numba"],
+                     choices=["auto", "reference", "fused"],
                      help="stencil executor backend (docs/STENCILS.md): "
                           "'fused' reuses pooled temporaries and "
                           "precompiled slice plans, bit-identical to "
@@ -110,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--metrics", action="store_true",
                      help="print the run metrics registry at the end")
     run.add_argument("--profile", action="store_true",
-                     help="activate the phase profiler and print its "
-                          "report after integration")
+                     help="print the host-span table (calls, self time, "
+                          "share per phase) after integration")
     run.add_argument("--summary", action="store_true",
                      help="print the trace summary (implies a session)")
     run.add_argument("--counters", action="store_true",
@@ -490,9 +490,14 @@ def _spec_from_args(args) -> "RunSpec":
 
 
 def _cmd_run(args) -> int:
-    from .api import Experiment
+    from .api import Experiment, OutputPathError
 
-    exp = Experiment(_spec_from_args(args)).prepare()
+    try:
+        exp = Experiment(_spec_from_args(args))
+    except OutputPathError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
+    exp.prepare()
     grid = exp.grid
     print(f"{exp.spec.workload}: {grid.nx}x{grid.ny}x{grid.nz}, "
           f"dt={exp.model.config.dynamics.dt}s, {exp.spec.steps} steps")
@@ -506,7 +511,8 @@ def _cmd_run(args) -> int:
         print(f"ranks {px}x{py}: {result.halo_messages} messages, "
               f"{result.halo_bytes / 1e6:.1f} MB halo traffic")
     if result.session is not None:
-        from .obs import summary_text, write_chrome_trace, write_jsonl
+        from .obs import (span_table, summary_text, write_chrome_trace,
+                          write_jsonl)
 
         if exp.spec.trace_path:
             print(f"trace: {write_chrome_trace(result.session, exp.spec.trace_path)}")
@@ -516,8 +522,8 @@ def _cmd_run(args) -> int:
             print(summary_text(result.session))
         elif exp.spec.metrics:
             print(result.session.metrics.report())
-    if exp.timer is not None:
-        print(exp.timer.report())
+        if exp.spec.profile and not exp.spec.summary:
+            print(span_table(result.session))
     if exp.executor is not None and exp.executor.backend != "reference":
         print(exp.executor.report())
     if exp.spec.counters:
@@ -552,7 +558,8 @@ def _cmd_trace(args) -> int:
     """Replay a workload under tracing: a ``run`` with a session always
     active, trace artifacts written, and the summary printed."""
     run_args = argparse.Namespace(
-        workload=args.workload, nx=args.nx, ny=args.ny, nz=args.nz,
+        command=args.command, workload=args.workload,
+        nx=args.nx, ny=args.ny, nz=args.nz,
         steps=args.steps, dt=args.dt, ranks=args.ranks, ice=args.ice,
         backend="auto", history=None, history_every=60.0,
         trace=args.output, trace_jsonl=args.jsonl,

@@ -35,7 +35,7 @@ import numpy as np
 from .. import constants as c
 from .advection import metric_flux_terms
 from .grid import Grid
-from ..profiling import profile_phase
+from ..obs.trace import span
 from .helmholtz import HelmholtzOperator
 from .pressure import eos_pressure, linearization_coefficient
 from .reference import ReferenceState
@@ -230,7 +230,7 @@ class AcousticStepper:
         now stale and must be exchanged by the caller."""
         if self._done >= self.nsub:
             raise RuntimeError("all substeps already taken")
-        with profile_phase("acoustic_substep"):
+        with span("acoustic_substep", cat="phase"):
             return self._substep_impl()
 
     def _substep_impl(self) -> list[str]:
@@ -315,7 +315,7 @@ class AcousticStepper:
         # trapezoidal correction from the known W^n
         if beta < 1.0:
             rhs += ((1.0 - beta) / beta) * (w_now[:, :, 1:-1] - helm.apply(w_now))
-        with profile_phase("helmholtz_solve"):
+        with span("helmholtz_solve", cat="phase"):
             w_new = helm.solve(rhs)
         w_beta = beta * w_new + (1.0 - beta) * w_now
 

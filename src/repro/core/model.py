@@ -18,7 +18,6 @@ import numpy as np
 
 from .. import constants as c
 from ..obs.trace import span
-from ..profiling import profile_phase
 from ..physics.ice import IceConfig, cold_rain_step
 from ..physics.surface import (
     SurfaceConfig,
@@ -121,10 +120,10 @@ class AsucaModel:
         with span("dynamics_rk3", cat="phase"):
             new = self.integrator.step(state)
         if self.config.physics_enabled:
-            with profile_phase("physics_warm_rain"):
+            with span("physics_warm_rain", cat="phase"):
                 kessler_step(new, self.ref, self.config.dynamics.dt, self.config.kessler)
             if self.config.ice_enabled:
-                with profile_phase("physics_cold_rain"):
+                with span("physics_cold_rain", cat="phase"):
                     cold_rain_step(new, self.ref, self.config.dynamics.dt,
                                    self.config.ice)
                 self._exchange(new, ["rhotheta", "rho", "qv", "qc", "qr",

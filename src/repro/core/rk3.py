@@ -33,7 +33,7 @@ from .diffusion import (
     vertical_diffusion_c,
 )
 from .grid import Grid
-from ..profiling import profile_phase
+from ..obs.trace import span
 from .limiter import Limiter, get_limiter
 from .reference import ReferenceState
 from .state import State
@@ -94,16 +94,16 @@ def slow_tendencies(
     fy = state.rhov
     fz = adv.contravariant_mass_flux_w(state.rhou, state.rhov, state.rhow, g)
 
-    with profile_phase("advect_momentum"):
+    with span("advect_momentum", cat="phase"):
         r_u = adv.advect_u(u, fx, fy, fz, g, limiter)
         r_v = adv.advect_v(v, fx, fy, fz, g, limiter)
         r_w = adv.advect_w(w, fx, fy, fz, g, limiter)
-    with profile_phase("advect_theta"):
+    with span("advect_theta", cat="phase"):
         theta = state.rhotheta / state.rho
         r_theta = adv.advect_scalar(theta, fx, fy, fz, g, limiter)
 
     if cfg.coriolis_f != 0.0:
-        with profile_phase("coriolis"):
+        with span("coriolis", cat="phase"):
             cu, cv = coriolis_tendencies(state.rhou, state.rhov, cfg.coriolis_f, g)
             r_u += cu
             r_v += cv
@@ -131,7 +131,7 @@ def slow_tendencies(
     if rayleigh_w is not None:
         r_w -= rayleigh_w[None, None, :] * state.rhow
 
-    with profile_phase("advect_moisture"):
+    with span("advect_moisture", cat="phase"):
         q_tend = {
             name: None if name in inactive
             else adv.advect_scalar(q_hat / state.rho, fx, fy, fz, g, limiter)

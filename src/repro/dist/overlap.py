@@ -38,6 +38,7 @@ from typing import Iterable
 from ..gpu.device import Access, Event, GPUDevice
 from ..gpu.kernel import Kernel
 from ..gpu.spec import Precision
+from ..obs.doctor.critical_path import OverlapStats, overlap_stats
 from ..perf.costmodel import ASUCA_KERNELS, DEFAULT_NS, N_WATER_TRACERS, launch_schedule
 from .decomposition import OVERLAP
 from .network import ClusterSpec, TSUBAME_1_2
@@ -118,37 +119,19 @@ class VariableBreakdown:
 
 
 @dataclass
-class StepTimeline:
-    """Aggregates of one long step on the slowest rank (Fig. 11 bars)."""
+class StepTimeline(OverlapStats):
+    """One scheduled long step on the slowest rank: the Fig. 11
+    aggregates and hidden fractions of its device timeline (computed by
+    :func:`~repro.obs.doctor.critical_path.overlap_stats`), plus the
+    device itself."""
 
-    total: float
-    compute: float
-    mpi: float
-    gpu_cpu: float
-    overlap: bool
-    sync_skew: float = 0.0    #: barrier arrival-skew stalls (not comm)
+    overlap: bool = True
     device: GPUDevice = field(repr=False, default=None)
 
     @property
-    def communication(self) -> float:
-        return self.mpi + self.gpu_cpu
-
-    @property
-    def hidden_fraction(self) -> float:
-        """Fraction of communication hidden under computation, with the
-        paper's accounting: everything that is not computation counts as
-        exposed communication ("The difference of the overall and
-        computation times is the communication time that was not
-        overlapped")."""
-        exposed = self.total - self.compute
-        return max(0.0, 1.0 - exposed / self.communication) if self.communication else 0.0
-
-    @property
-    def hidden_fraction_comm_only(self) -> float:
-        """Same, but excluding the barrier arrival-skew stalls — the right
-        measure for the Sec. VII "communication completely hidden" claim."""
-        exposed = self.total - self.compute - self.sync_skew
-        return max(0.0, 1.0 - exposed / self.communication) if self.communication else 0.0
+    def total(self) -> float:
+        """The step's overall time (its makespan)."""
+        return self.makespan
 
 
 class OverlapModel:
@@ -410,16 +393,8 @@ class OverlapModel:
 
         dev.schedule("long_step_other", "kernel", streams[2],
                      self._other_compute_time(), tag="compute")
-        total = dev.synchronize()
-        return StepTimeline(
-            total=total,
-            compute=dev.busy_time("kernel"),
-            mpi=dev.busy_time("mpi") - dev.busy_time("mpi", tag="skew"),
-            gpu_cpu=dev.busy_time("h2d") + dev.busy_time("d2h"),
-            overlap=overlap,
-            sync_skew=dev.busy_time("mpi", tag="skew"),
-            device=dev,
-        )
+        stats = overlap_stats(dev.timeline, makespan=dev.synchronize())
+        return StepTimeline(**vars(stats), overlap=overlap, device=dev)
 
     def breakdown_rows(self) -> list[VariableBreakdown]:
         """The Fig. 9 per-variable rows."""

@@ -1,13 +1,13 @@
 """Unified tracing & metrics: one run context for host, device and comm.
 
-The reproduction's three signal sources — host phase timings
-(:mod:`repro.profiling`), virtual-GPU op timelines
+The reproduction's three signal sources — host phase spans of the
+integrator and physics, virtual-GPU op timelines
 (:class:`repro.gpu.device.GPUDevice`), and simulated-MPI traffic
 (:class:`repro.dist.mpi_sim.SimComm`) — flow into a single
 :class:`TraceSession`:
 
-* **spans** (:func:`span`, plus the ``profile_phase`` shim) record host
-  intervals while a session is active;
+* **spans** (:func:`span`) record host intervals while a session is
+  active;
 * **collectors** ingest device timelines and message logs after a run,
   stamped with rank/device identity;
 * **exporters** emit Chrome Trace Format JSON (``chrome://tracing`` /
@@ -22,6 +22,8 @@ from .collectors import collect_comm, collect_device
 from .exporters import (
     chrome_trace,
     jsonl_events,
+    span_self_times,
+    span_table,
     summary_text,
     write_chrome_trace,
     write_jsonl,
@@ -65,7 +67,8 @@ __all__ = [
     "FlowRecord",
     "collect_device", "collect_comm",
     "chrome_trace", "write_chrome_trace",
-    "jsonl_events", "write_jsonl", "summary_text",
+    "jsonl_events", "write_jsonl", "span_self_times", "span_table",
+    "summary_text",
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "MetricTypeConflict",
     "percentile", "percentile_summary",
@@ -80,7 +83,7 @@ __all__ = [
 
 def __getattr__(name: str):
     # the doctor pulls in gpu/dist/perf modules; loading it lazily keeps
-    # `repro.obs` important-for-profiling-shims light and cycle-free
+    # `repro.obs` light and cycle-free for the dynamical core's spans
     if name == "doctor":
         from . import doctor
 

@@ -12,7 +12,7 @@
 
 Both are duck-typed on purpose: this module imports nothing from the
 rest of the package, so the obs subsystem stays import-cycle-free (the
-profiler shim under ``repro.core`` pulls in ``repro.obs``).
+phase spans under ``repro.core`` pull in ``repro.obs``).
 """
 from __future__ import annotations
 

@@ -24,9 +24,8 @@ Three views come out of a timeline:
   critical path;
 * :func:`overlap_stats` — the Fig. 11 aggregates (compute / MPI /
   GPU-CPU / skew) and the paper-accounting hidden-communication
-  fraction, numerically identical to
-  :attr:`repro.dist.overlap.StepTimeline.hidden_fraction` when fed the
-  same device.
+  fraction; the overlap model's
+  :class:`~repro.dist.overlap.StepTimeline` is computed by it too.
 """
 from __future__ import annotations
 
@@ -356,8 +355,8 @@ def attribution(ops: Iterable[Any], path: CriticalPath | None = None,
 
 
 def overlap_stats(ops: Iterable[Any], makespan: float | None = None) -> OverlapStats:
-    """Fig. 11 aggregates of any op-shaped sequence; identical numbers
-    to :class:`~repro.dist.overlap.StepTimeline` for the same device."""
+    """Fig. 11 aggregates of any op-shaped sequence (live ops or trace
+    records)."""
     ops = list(ops)
     if makespan is None:
         makespan = max((op.end if hasattr(op, "end") else op.ts + op.dur

@@ -10,9 +10,8 @@ Three entry points, one report shape:
   for EWMA anomalies;
 * :func:`diagnose_model` — rerun the paper's overlap performance model
   (:mod:`repro.dist.overlap`) across the named method configurations,
-  cross-validate the doctor's timeline accounting against the model's
-  own :class:`~repro.dist.overlap.StepTimeline` aggregates, and
-  recommend the fastest method.
+  diagnose the selected method's schedule, and recommend the fastest
+  method.
 
 A :class:`DoctorReport` renders as a Fig. 11-style text breakdown or
 JSON, names the dominant bottleneck, and carries gate findings (e.g.
@@ -150,8 +149,6 @@ class DoctorReport:
     counters: dict[str, dict[str, float]] = field(default_factory=dict)
     #: counter anomalies flagged by the EWMA screen (trace mode)
     anomalies: list[dict[str, Any]] = field(default_factory=list)
-    #: doctor-vs-model cross-check: metric -> relative delta (model mode)
-    consistency: dict[str, float] = field(default_factory=dict)
     #: gate violations; any entry makes exit_status() nonzero
     findings: list[str] = field(default_factory=list)
 
@@ -186,7 +183,6 @@ class DoctorReport:
             "findings": list(self.findings),
             "hidden_fraction": self.hidden_fraction,
             "verdict": self.verdict.as_dict() if self.verdict else None,
-            "consistency": dict(self.consistency),
             "counters": dict(self.counters),
             "anomalies": list(self.anomalies),
             "devices": [d.as_dict() for d in self.devices],
@@ -211,12 +207,6 @@ class DoctorReport:
         for a in self.anomalies:
             lines.append(f"  anomaly: {a['metric']} at t={a['t']:.3f}: "
                          f"{a['message']}")
-        if self.consistency:
-            worst = max(self.consistency.values())
-            lines.append("")
-            lines.append(f"  cross-check vs modeled timeline: max relative "
-                         f"delta {100 * worst:.3f}% "
-                         f"({'OK' if worst < 0.01 else 'DIVERGED'})")
         if self.verdict:
             lines.append("")
             lines.append(self.verdict.text())
@@ -295,8 +285,7 @@ def diagnose_model(
     nz: int = 48,
 ) -> DoctorReport:
     """Rerun the overlap performance model, diagnose the selected
-    method's schedule, cross-check the doctor's accounting against the
-    model's own aggregates, and recommend the fastest method."""
+    method's schedule, and recommend the fastest method."""
     from ...dist.overlap import METHOD_CONFIGS, method_timelines  # lazy
 
     if method not in METHOD_CONFIGS:
@@ -308,24 +297,6 @@ def diagnose_model(
     tl = timelines[method]
     diag = diagnose_ops(tl.device.timeline, label=f"model:{method}")
     report.devices.append(diag)
-
-    # the doctor's timeline accounting must agree with StepTimeline
-    def _rel(a: float, b: float) -> float:
-        return abs(a - b) / max(abs(b), 1e-30) if (a or b) else 0.0
-
-    st = diag.stats
-    report.consistency = {
-        "total": _rel(st.makespan, tl.total),
-        "compute": _rel(st.compute, tl.compute),
-        "mpi": _rel(st.mpi, tl.mpi),
-        "gpu_cpu": _rel(st.gpu_cpu, tl.gpu_cpu),
-        "hidden_fraction": _rel(st.hidden_fraction, tl.hidden_fraction),
-    }
-    if max(report.consistency.values()) > 0.01:
-        report.findings.append(
-            "doctor accounting diverged >1% from the modeled timeline: "
-            + ", ".join(f"{k}={100 * v:.2f}%"
-                        for k, v in report.consistency.items() if v > 0.01))
 
     totals = {name: t.total for name, t in timelines.items()}
     best = min(totals, key=totals.get)

@@ -10,9 +10,11 @@ shareable artifacts.
 * :func:`jsonl_events` / :func:`write_jsonl` — a line-per-event JSON
   stream (spans, device ops, flows, then a final metrics record) for
   ad-hoc processing with ``jq``/pandas.
-* :func:`summary_text` — a text roll-up reusing the op-timeline
+* :func:`span_table` — host spans by name with calls, self time and
+  share (what ``repro run --profile`` prints);
+* :func:`summary_text` — a text roll-up: the span table, the op-timeline
   aggregation of :mod:`repro.perf.timeline` for each collected device,
-  plus a PhaseTimer-style host-span table and the metrics report.
+  and the metrics report.
 
 Timestamps are exported in microseconds, the CTF unit.  Host spans use
 wall time since the session epoch; device ops use the virtual device
@@ -22,20 +24,26 @@ share an axis (documented in docs/OBSERVABILITY.md).
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from typing import Any, Iterator
 
-from .trace import TraceSession
+from .trace import SpanRecord, TraceSession
 
 __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "jsonl_events",
     "write_jsonl",
+    "span_self_times",
+    "span_table",
     "summary_text",
 ]
 
 #: duration [us] of the synthetic slices that anchor message flow arrows
 _FLOW_ANCHOR_US = 1.0
+
+#: slack [s] for a nested span whose rounded end passes its parent's
+_NEST_EPS = 1e-9
 
 
 def _us(seconds: float) -> float:
@@ -195,22 +203,57 @@ def write_jsonl(session: TraceSession, path: str) -> str:
 
 
 # ---------------------------------------------------------------- summary
+def span_self_times(session: TraceSession) -> dict[str, tuple[int, float]]:
+    """Span name -> (calls, self seconds).  A span's self time is its
+    duration minus the spans nested directly inside it on the same
+    track, so a phase that runs inside another (``helmholtz_solve``
+    inside ``acoustic_substep``) is counted once, and the self times add
+    up to the time the spans cover."""
+    calls: dict[str, int] = defaultdict(int)
+    self_s: dict[str, float] = defaultdict(float)
+    tracks: dict[tuple[str, str], list[SpanRecord]] = defaultdict(list)
+    for rec in session.spans:
+        tracks[(rec.pid, rec.tid)].append(rec)
+    for recs in tracks.values():
+        recs.sort(key=lambda r: (r.ts, -r.dur))
+        stack: list[SpanRecord] = []        # enclosing spans, innermost last
+        for rec in recs:
+            end = rec.ts + rec.dur
+            while stack and end > stack[-1].ts + stack[-1].dur + _NEST_EPS:
+                stack.pop()
+            if stack:
+                self_s[stack[-1].name] -= rec.dur
+            calls[rec.name] += 1
+            self_s[rec.name] += rec.dur
+            stack.append(rec)
+    return {name: (calls[name], self_s[name]) for name in calls}
+
+
+def span_table(session: TraceSession) -> str:
+    """Host spans by name, largest self time first: calls, self seconds
+    and share of the total (the shares add up to 100%)."""
+    rows = sorted(span_self_times(session).items(), key=lambda kv: -kv[1][1])
+    total = sum(sec for _, (_, sec) in rows)
+    scale = 100.0 / total if total > 0 else 0.0
+    lines = [f"{'host span':<28} {'calls':>6} {'self seconds':>12} "
+             f"{'share':>7}"]
+    for name, (count, sec) in rows:
+        lines.append(f"{name:<28} {count:>6} {sec:>12.4f} "
+                     f"{scale * sec:>6.1f}%")
+    lines.append(f"{'total':<28} {'':>6} {total:>12.4f}")
+    return "\n".join(lines)
+
+
 def summary_text(session: TraceSession) -> str:
-    """Text roll-up: host-span totals, per-device timeline summaries
+    """Text roll-up: the host-span table, per-device timeline summaries
     (via :func:`repro.perf.timeline.summarize_ops`), traffic, metrics."""
     from ..perf.timeline import summarize_ops  # lazy: avoids import cycles
 
     lines = [f"trace session: {session.name}"]
 
     if session.spans:
-        agg: dict[str, tuple[int, float]] = {}
-        for rec in session.spans:
-            count, total = agg.get(rec.name, (0, 0.0))
-            agg[rec.name] = (count + 1, total + rec.dur)
         lines.append("")
-        lines.append(f"{'host span':<28} {'calls':>6} {'seconds':>10}")
-        for name, (count, total) in sorted(agg.items(), key=lambda kv: -kv[1][1]):
-            lines.append(f"{name:<28} {count:>6} {total:>10.4f}")
+        lines.append(span_table(session))
 
     by_pid: dict[str, list] = {}
     for rec in session.device_ops:

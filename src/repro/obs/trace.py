@@ -4,8 +4,8 @@ A :class:`TraceSession` is the single run context into which all three
 signal sources of the reproduction flow:
 
 * **host spans** — wall-clock intervals recorded by the :func:`span`
-  context manager (and by the :func:`repro.profiling.profile_phase` shim,
-  so every already-instrumented phase of the integrator shows up);
+  context manager (the integrator and physics phases are ``cat="phase"``
+  spans);
 * **device ops** — the virtual-clock op timelines of
   :class:`repro.gpu.device.GPUDevice`, ingested after a run by
   :mod:`repro.obs.collectors`;
@@ -16,11 +16,10 @@ Records are kept in a neutral in-memory form; :mod:`repro.obs.exporters`
 turns them into Chrome Trace Format JSON, a JSONL stream, or a text
 summary.
 
-This module is **stdlib-only by design**: ``repro.profiling`` (imported
-by the dynamical core) shims onto it, so it must not import anything
-from the package that could cycle back into ``repro.core``.  Tracing is
-zero-cost when no session is active — :func:`span` does one empty-list
-check and yields.
+This module is **stdlib-only by design**: the dynamical core imports
+:func:`span` from it, so it must not import anything from the package
+that could cycle back into ``repro.core``.  Tracing is zero-cost when no
+session is active — :func:`span` does one empty-list check and yields.
 """
 from __future__ import annotations
 
@@ -140,8 +139,8 @@ class FlowRecord:
 class TraceSession:
     """One run's worth of unified telemetry.
 
-    Activate with :func:`use_session`; while active, host spans (and the
-    ``profile_phase`` shim), ``SimComm`` message logging, and any direct
+    Activate with :func:`use_session`; while active, host spans,
+    ``SimComm`` message logging, and any direct
     :meth:`record_span` calls feed it.  After the run, pull in the
     device/comm signals with :meth:`collect_device` /
     :meth:`collect_comm`, then :meth:`finalize` to derive per-step
@@ -265,7 +264,7 @@ class TraceSession:
         return m
 
 
-#: innermost-last stack of active sessions (mirrors ``profiling._ACTIVE``)
+#: innermost-last stack of active sessions
 _SESSIONS: list[TraceSession] = []
 
 

@@ -47,22 +47,7 @@ def summarize_ops(ops: Iterable[Op], makespan: float | None = None) -> TimelineS
             by_tag[op.tag] += op.duration
     if makespan is None:
         makespan = max((op.end for op in ops), default=0.0)
-
-    # sweep for multi-engine concurrency
-    events: list[tuple[float, int]] = []
-    for op in ops:
-        if op.duration > 0:
-            events.append((op.start, +1))
-            events.append((op.end, -1))
-    events.sort()
-    active = 0
-    prev_t = 0.0
-    overlapped = 0.0
-    for t, d in events:
-        if active >= 2:
-            overlapped += t - prev_t
-        active += d
-        prev_t = t
+    overlapped = sum(t for k, t in concurrency_profile(ops).items() if k >= 2)
     return TimelineSummary(
         makespan=makespan,
         busy_by_kind=dict(by_kind),

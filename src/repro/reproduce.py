@@ -72,7 +72,7 @@ SECTIONS: list[tuple[str, str, str]] = [
      "test_phase_breakdown.txt",
      "Real wall-clock shares of the reproduction (instrumented integrator):\n"
      "advection dominates and warm rain is a few percent — the same structure the\n"
-     "paper reports for the CUDA kernels.  Modules: `repro.profiling`."),
+     "paper reports for the CUDA kernels.  Modules: `repro.obs.trace` (phase spans)."),
     ("Ablation — array ordering (Sec. IV-A-1)", "test_ordering_model.txt", ""),
     ("Ablation — real host-memory strides", "test_ordering_real_strides.txt", ""),
     ("Ablation — overlap methods 1/2/3 (Sec. V-A)",

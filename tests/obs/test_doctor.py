@@ -91,17 +91,17 @@ def test_attribution_groups_variables_and_tracers():
 # ------------------------------------------- agreement with dist/overlap
 @pytest.mark.parametrize("method", sorted(METHOD_CONFIGS))
 def test_overlap_stats_match_step_timeline_exactly(timelines, method):
-    """The doctor's accounting over the model's own device timeline must
-    reproduce the StepTimeline aggregates to machine precision."""
+    """The StepTimeline aggregates are the doctor's accounting over the
+    model's own device timeline: one formula, so the numbers are equal."""
     tl = timelines[method]
     st = overlap_stats(tl.device.timeline, makespan=tl.device.elapsed())
-    assert st.makespan == pytest.approx(tl.total, rel=1e-12)
-    assert st.compute == pytest.approx(tl.compute, rel=1e-12)
-    assert st.mpi == pytest.approx(tl.mpi, rel=1e-12)
-    assert st.gpu_cpu == pytest.approx(tl.gpu_cpu, rel=1e-12)
-    assert st.skew == pytest.approx(tl.sync_skew, rel=1e-12)
-    assert st.hidden_fraction == pytest.approx(tl.hidden_fraction,
-                                               rel=1e-12, abs=1e-12)
+    assert st.makespan == tl.total
+    assert st.compute == tl.compute
+    assert st.mpi == tl.mpi
+    assert st.gpu_cpu == tl.gpu_cpu
+    assert st.skew == tl.skew
+    assert st.hidden_fraction == tl.hidden_fraction
+    assert st.hidden_fraction_comm_only == tl.hidden_fraction_comm_only
 
 
 @pytest.mark.parametrize("method", sorted(PINNED_HIDDEN))
@@ -131,10 +131,11 @@ def test_critical_path_covers_model_step(timelines):
 
 
 # ------------------------------------------------------------ model mode
-def test_diagnose_model_is_self_consistent():
+def test_diagnose_model_is_self_consistent(timelines):
     report = diagnose_model()
     assert report.ok, report.findings
-    assert max(report.consistency.values()) < 0.01
+    assert (report.devices[0].stats.hidden_fraction
+            == timelines["method1+2+3"].hidden_fraction)
     assert set(report.verdict.method_totals) == set(METHOD_CONFIGS)
     assert report.hidden_fraction == pytest.approx(0.548, abs=0.01)
     # the gate flips the exit status without touching the diagnosis

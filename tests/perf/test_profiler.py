@@ -1,108 +1,127 @@
-"""Tests of the phase profiler."""
+"""Tests of the phase profile: the host-span table of a trace session
+(:func:`repro.obs.span_table`), which charges every span its self time."""
 import time
 
 import pytest
 
-from repro.profiling import PhaseTimer, profile_phase, use_timer
+from repro.obs import (TraceSession, span, span_self_times, span_table,
+                       use_session)
 from repro.workloads.warm_bubble import make_warm_bubble_case
 
 
+def _session_with(*spans: tuple[str, float, float]) -> TraceSession:
+    """A session holding hand-placed (name, ts, dur) host spans."""
+    s = TraceSession("t")
+    for name, ts, dur in spans:
+        s.record_span(name, ts, dur, cat="phase")
+    return s
+
+
 def test_noop_without_active_timer():
-    with profile_phase("anything"):
-        x = 1 + 1
-    assert x == 2  # nothing recorded anywhere, nothing raised
+    """With no session active the phase spans of a model step record
+    nothing anywhere; a session opened afterwards starts empty."""
+    case = make_warm_bubble_case(nx=8, ny=8, nz=8, dt=4.0)
+    case.run(1)
+    s = TraceSession("t")
+    assert s.spans == [] and span_self_times(s) == {}
 
 
 def test_basic_accumulation():
-    t = PhaseTimer()
-    with use_timer(t):
-        with profile_phase("a"):
+    s = TraceSession("t")
+    with use_session(s):
+        with span("a", cat="phase"):
             time.sleep(0.01)
-        with profile_phase("a"):
+        with span("a", cat="phase"):
             pass
-        with profile_phase("b"):
+        with span("b", cat="phase"):
             pass
-    assert t.calls["a"] == 2 and t.calls["b"] == 1
-    assert t.seconds["a"] >= 0.01
-    assert t.total() == pytest.approx(sum(t.seconds.values()))
-    assert 0.0 <= t.fraction("b") <= 1.0
+    prof = span_self_times(s)
+    assert prof["a"][0] == 2 and prof["b"][0] == 1
+    assert prof["a"][1] >= 0.01
+    assert sum(sec for _, sec in prof.values()) == pytest.approx(
+        sum(r.dur for r in s.spans))
 
 
 def test_nesting_lifo():
-    outer, inner = PhaseTimer(), PhaseTimer()
-    with use_timer(outer):
-        with profile_phase("x"):
-            pass
-        with use_timer(inner):
-            with profile_phase("y"):
-                pass
-        with profile_phase("z"):
-            pass
-    assert "y" in inner.seconds and "y" not in outer.seconds
-    assert "x" in outer.seconds and "z" in outer.seconds
+    """A nested span's time is taken out of its parent only, at every
+    depth, and sequential siblings are not nested."""
+    s = _session_with(("outer", 0.0, 10.0), ("mid", 1.0, 6.0),
+                      ("inner", 2.0, 1.0), ("inner", 4.0, 2.0),
+                      ("sibling", 8.0, 1.0), ("after", 10.0, 3.0))
+    prof = span_self_times(s)
+    assert prof["outer"] == (1, pytest.approx(3.0))
+    assert prof["mid"] == (1, pytest.approx(3.0))
+    assert prof["inner"] == (2, pytest.approx(3.0))
+    assert prof["sibling"] == (1, pytest.approx(1.0))
+    assert prof["after"] == (1, pytest.approx(3.0))
 
 
 def test_report_and_reset():
-    t = PhaseTimer()
-    with use_timer(t):
-        with profile_phase("phase_one"):
-            pass
-    rep = t.report()
-    assert "phase_one" in rep and "total" in rep
-    t.reset()
-    assert t.total() == 0.0
+    s = _session_with(("outer", 0.0, 4.0), ("inner", 1.0, 1.0),
+                      ("other", 5.0, 4.0))
+    lines = span_table(s).splitlines()
+    assert lines[0].split() == ["host", "span", "calls", "self", "seconds",
+                                "share"]
+    assert [ln.split()[0] for ln in lines[1:]] == ["other", "outer",
+                                                   "inner", "total"]
+    assert lines[1].split()[-1] == "50.0%"
+    assert lines[-1].split() == ["total", "8.0000"]
+    # a fresh session starts from an empty table
+    empty = span_table(TraceSession("t")).splitlines()
+    assert [ln.split() for ln in empty[1:]] == [["total", "0.0000"]]
 
 
 def test_model_phases_recorded():
-    """A real model step populates the instrumented phases, and the
+    """A real model step records the instrumented phases, and the
     warm-rain share is small — the paper's '1.0% GPU time' observation
     holds for the NumPy implementation too."""
     case = make_warm_bubble_case(nx=12, ny=12, nz=12, dt=4.0)
-    t = PhaseTimer()
-    with use_timer(t):
+    s = TraceSession("t")
+    with use_session(s):
         case.run(3)
+    prof = span_self_times(s)
     for phase in ("advect_momentum", "advect_theta", "advect_moisture",
                   "acoustic_substep", "helmholtz_solve", "physics_warm_rain"):
-        assert t.calls[phase] > 0, phase
-    assert t.fraction("physics_warm_rain") < 0.1
+        assert prof[phase][0] > 0, phase
+    total = sum(sec for _, sec in prof.values())
+    assert prof["physics_warm_rain"][1] < 0.1 * total
 
 
 def test_exception_still_charges():
-    t = PhaseTimer()
-    with use_timer(t):
+    s = TraceSession("t")
+    with use_session(s):
         with pytest.raises(ValueError):
-            with profile_phase("boom"):
+            with span("boom", cat="phase"):
                 raise ValueError("x")
-    assert t.calls["boom"] == 1
+    assert span_self_times(s)["boom"][0] == 1
 
 
-def test_use_timer_reentrant_same_timer():
-    """Nesting use_timer with the *same* timer charges each phase exactly
-    once — the innermost activation wins, not both stack entries."""
-    t = PhaseTimer()
-    with use_timer(t):
-        with use_timer(t):
-            with profile_phase("inner"):
+def test_use_session_reentrant_same_session():
+    """Nesting use_session with the *same* session records each span
+    exactly once — the innermost activation wins, not both entries."""
+    s = TraceSession("t")
+    with use_session(s):
+        with use_session(s):
+            with span("inner"):
                 pass
-        with profile_phase("outer"):
+        with span("outer"):
             pass
-    assert t.calls["inner"] == 1
-    assert t.calls["outer"] == 1
+    assert [r.name for r in s.spans] == ["inner", "outer"]
 
 
-def test_use_timer_restores_outer_after_inner_exits():
-    """Three-deep nesting: after the innermost block exits, charges go
-    back to the next timer on the stack (LIFO restore)."""
-    a, b, c = PhaseTimer(), PhaseTimer(), PhaseTimer()
-    with use_timer(a):
-        with use_timer(b):
-            with use_timer(c):
-                with profile_phase("deep"):
+def test_use_session_restores_outer_after_inner_exits():
+    """Three-deep nesting: after the innermost block exits, spans go
+    back to the next session on the stack (LIFO restore)."""
+    a, b, c = TraceSession("a"), TraceSession("b"), TraceSession("c")
+    with use_session(a):
+        with use_session(b):
+            with use_session(c):
+                with span("deep"):
                     pass
-            with profile_phase("mid"):
+            with span("mid"):
                 pass
-        with profile_phase("top"):
+        with span("top"):
             pass
-    assert c.calls["deep"] == 1 and "deep" not in b.calls and "deep" not in a.calls
-    assert b.calls["mid"] == 1 and "mid" not in a.calls and "mid" not in c.calls
-    assert a.calls["top"] == 1 and "top" not in b.calls
+    assert [r.name for r in c.spans] == ["deep"]
+    assert [r.name for r in b.spans] == ["mid"]
+    assert [r.name for r in a.spans] == ["top"]

@@ -85,6 +85,23 @@ class TestManager:
         with pytest.raises(FileNotFoundError):
             CheckpointManager(tmp_path / "empty").load([case.grid])
 
+    def test_load_rejects_mismatched_field_shape(self, tmp_path, case):
+        from repro.core.grid import make_grid
+
+        m = CheckpointManager(tmp_path)
+        m.save(1, _fresh_state(case))
+        wrong = make_grid(10, 12, 10, 1000.0, 1000.0, 10000.0)
+        with pytest.raises(ValueError, match="shape"):
+            m.load([wrong])
+
+    def test_precip_accum_roundtrip(self, tmp_path, case):
+        m = CheckpointManager(tmp_path)
+        st = _fresh_state(case)
+        st.precip_accum = np.full((case.grid.nx, case.grid.ny), 1.25)
+        m.save(1, st)
+        np.testing.assert_array_equal(
+            m.load([case.grid]).states[0].precip_accum, 1.25)
+
 
 # ------------------------------------------------- bit-identical continue
 class TestResumeBitIdentity:

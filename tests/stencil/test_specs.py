@@ -12,7 +12,6 @@ from repro.stencil import (
     declared_flops_band,
     default_backend,
     load_dycore_specs,
-    numba_available,
     table_costs,
     use_executor,
 )
@@ -91,13 +90,33 @@ def test_declared_drift_bands_reach_the_counters():
 
 
 # ----------------------------------------------------------------- executor
-def test_backend_validation_and_numba_gating():
-    assert set(BACKENDS) == {"reference", "fused", "numba"}
+def test_backend_validation_and_numba_gating(monkeypatch, capsys):
+    """Only the reference and fused backends exist; 'numba' is an
+    unknown name on every route into a run, rejected before any step."""
+    from repro.api import Experiment, RunSpec
+    from repro.cli import main
+
+    assert BACKENDS == ("reference", "fused")
     with pytest.raises(ValueError, match="unknown stencil backend"):
         StencilExecutor("cuda")
-    if not numba_available():
-        with pytest.raises(RuntimeError, match="numba"):
-            StencilExecutor("numba")
+    with pytest.raises(ValueError, match="unknown stencil backend"):
+        StencilExecutor("numba")
+
+    def no_step(self):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(Experiment, "_step_once", no_step)
+    with pytest.raises(ValueError, match="unknown stencil backend"):
+        RunSpec(stencil_backend="numba", steps=1).normalized()
+    monkeypatch.setenv("REPRO_STENCIL_BACKEND", "numba")
+    with pytest.raises(ValueError, match="REPRO_STENCIL_BACKEND"):
+        Experiment(RunSpec(steps=1))
+    monkeypatch.delenv("REPRO_STENCIL_BACKEND")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "warm-bubble", "--steps", "1",
+              "--stencil-backend", "numba"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'numba'" in capsys.readouterr().err
 
 
 def test_default_backend_follows_environment(monkeypatch):

@@ -117,51 +117,6 @@ class TestCli:
         assert "halo traffic" in out
 
 
-class TestCheckpoint:
-    def test_restart_is_bit_identical(self, tmp_path):
-        """Run 6 steps straight vs 3 steps + checkpoint + restart + 3
-        steps: identical trajectories."""
-        from repro.history import load_checkpoint, save_checkpoint
-
-        a = make_mountain_wave_case(nx=14, ny=8, nz=8, dx=2000.0,
-                                    ztop=8000.0, dt=4.0)
-        b = make_mountain_wave_case(nx=14, ny=8, nz=8, dx=2000.0,
-                                    ztop=8000.0, dt=4.0)
-        a.run(6)
-
-        b.run(3)
-        ckpt = save_checkpoint(b.state, tmp_path / "c.npz")
-        restored = load_checkpoint(ckpt, b.grid)
-        assert restored.time == b.state.time
-        restored = b.model.run(restored, 3)
-
-        for name in a.state.prognostic_names():
-            np.testing.assert_array_equal(
-                a.state.get(name), restored.get(name), err_msg=name
-            )
-
-    def test_checkpoint_shape_validation(self, tmp_path):
-        from repro.core.grid import make_grid
-        from repro.history import load_checkpoint, save_checkpoint
-
-        case = make_mountain_wave_case(nx=14, ny=8, nz=8, dx=2000.0,
-                                       ztop=8000.0)
-        p = save_checkpoint(case.state, tmp_path / "c.npz")
-        wrong = make_grid(10, 8, 8, 2000.0, 2000.0, 8000.0)
-        with pytest.raises(ValueError, match="shape"):
-            load_checkpoint(p, wrong)
-
-    def test_checkpoint_keeps_precip(self, tmp_path):
-        from repro.history import load_checkpoint, save_checkpoint
-
-        case = make_mountain_wave_case(nx=14, ny=8, nz=8, dx=2000.0,
-                                       ztop=8000.0)
-        case.state.precip_accum = np.full((14, 8), 1.25)
-        p = save_checkpoint(case.state, tmp_path / "c.npz")
-        st = load_checkpoint(p, case.grid)
-        np.testing.assert_array_equal(st.precip_accum, 1.25)
-
-
 class TestReproduce:
     def test_generates_document(self, tmp_path):
         from repro.reproduce import SECTIONS, generate_experiments_markdown
